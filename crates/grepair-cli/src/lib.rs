@@ -73,29 +73,38 @@ pub struct Args {
     switches: Vec<String>,
 }
 
+/// Boolean switches some command reads.
+const SWITCHES: &[&str] = &["naive", "lint", "read-only"];
+
+/// Value-taking flags some command reads (`-x` and `--x` are the same
+/// flag).
+const VALUE_FLAGS: &[&str] = &[
+    "r", "rules", "g", "graph", "o", "out", "d", "dir", "store", "from", "report", "trace",
+    "timeout", "max-ops", "runs", "format", "deny", "warn", "allow", "persons", "accounts",
+    "seed", "noise", "clean", "ledger", "min-support", "min-confidence",
+];
+
 impl Args {
-    /// Parse a raw token list. Tokens starting with `--` take the next
-    /// token as value unless they are known boolean switches.
-    pub fn parse(tokens: &[String]) -> Self {
-        const SWITCHES: &[&str] = &[
-            "--naive", "--quick", "--parallel", "--frozen", "--lint", "--read-only",
-        ];
+    /// Parse a raw token list. Tokens starting with `-` or `--` name a
+    /// flag and take the next token as value unless they are boolean
+    /// switches. A flag no command reads is a usage error (exit 2): it
+    /// would otherwise swallow the next token as its value.
+    pub fn parse(tokens: &[String]) -> Result<Self, CliError> {
         let mut out = Args::default();
         let mut i = 0;
         while i < tokens.len() {
             let t = &tokens[i];
-            if let Some(name) = t.strip_prefix("--") {
-                if SWITCHES.contains(&t.as_str()) {
+            if let Some(name) = t.strip_prefix("--").or_else(|| t.strip_prefix('-')) {
+                if SWITCHES.contains(&name) {
                     out.switches.push(name.to_owned());
                     i += 1;
-                } else if i + 1 < tokens.len() {
-                    out.flags.push((name.to_owned(), tokens[i + 1].clone()));
-                    i += 2;
-                } else {
-                    out.switches.push(name.to_owned());
-                    i += 1;
+                    continue;
                 }
-            } else if let Some(name) = t.strip_prefix('-') {
+                if !VALUE_FLAGS.contains(&name) {
+                    return Err(CliError::usage(format!(
+                        "unknown flag {t:?} (run `grepair help` for usage)"
+                    )));
+                }
                 if i + 1 < tokens.len() {
                     out.flags.push((name.to_owned(), tokens[i + 1].clone()));
                     i += 2;
@@ -108,7 +117,7 @@ impl Args {
                 i += 1;
             }
         }
-        out
+        Ok(out)
     }
 
     fn get(&self, names: &[&str]) -> Option<&str> {
@@ -357,8 +366,8 @@ fn load_rules_spanned(path: &str) -> Result<(RuleSet, Vec<RuleSpan>), CliError> 
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::io(format!("cannot read {path}: {e}")))?;
     if path.ends_with(".json") {
-        let rules =
-            RuleSet::from_json(&text).map_err(|e| CliError::io(format!("bad rule json: {e}")))?;
+        let rules = RuleSet::from_json(&text)
+            .map_err(|e| CliError::io(format!("cannot parse {path}: {e}")))?;
         Ok((rules, Vec::new()))
     } else {
         let (rules, spans) =
@@ -424,12 +433,12 @@ commands:
   gen kg        --persons N [--seed S] [--noise RATE] -o OUT [--clean C] [--ledger L]
   gen social    --accounts N [--seed S] -o OUT
   stats         GRAPH
-  check         -r RULES (-g GRAPH | --store DIR [--read-only]) [--frozen] [--trace FILE]
+  check         -r RULES (-g GRAPH | --store DIR [--read-only]) [--trace FILE]
                 [--timeout SECS] [--max-ops N]
   explain       -r RULES (-g GRAPH | --store DIR [--read-only])
-  repair        -r RULES -g GRAPH -o OUT [--naive] [--frozen] [--report R] [--trace FILE]
+  repair        -r RULES -g GRAPH -o OUT [--naive] [--report R] [--trace FILE]
                 [--timeout SECS] [--max-ops N]
-  repair        -r RULES --store DIR [-o OUT] [--naive] [--frozen] [--report R] [--trace FILE]
+  repair        -r RULES --store DIR [-o OUT] [--naive] [--report R] [--trace FILE]
   watch         -r RULES (-g GRAPH [-o OUT] | --store DIR) [--runs N] [--trace FILE]
                 [--timeout SECS] [--max-ops N]
   metrics       [-r RULES (-g GRAPH | --store DIR)] [--format json]
@@ -444,9 +453,9 @@ commands:
   store fsck    -d DIR [--format json]
 
 Graph files are .json (GraphDoc) or .txt (fixture format); rule files are
-.grr DSL or .json. --frozen runs full scans over a compacted CSR snapshot
-of the graph (faster on large graphs, identical results; --naive enables
-it by default).
+.grr DSL or .json. --naive runs the full-scan baseline engine (every round
+rescans the graph) instead of incremental delta re-matching; both reach
+the same fixpoint. A flag no command reads is a usage error (exit 2).
 
 `lint` runs the static rule-set analyses as stable diagnostics
 (GR001..GR007: termination, consistency, effectiveness, implication,
@@ -498,7 +507,7 @@ reports outcome 'round-limit' and also exits 5, distinguishing a blown
 limit from residual violations under a completed fixpoint.
 
 Observability: --trace FILE (on check/repair/watch) records spans from
-every layer — engine rounds, matching, planning, freezes, WAL writes —
+every layer — engine rounds, matching, planning, WAL writes —
 and exports them as a Chrome trace (load in chrome://tracing or
 Perfetto). `metrics` prints the process-wide metrics registry (counters,
 gauges, latency histograms with p50/p90/p99, warn events) as text or,
@@ -538,7 +547,7 @@ fn cmd_gen(tokens: &[String]) -> CliResult {
     let Some(kind) = tokens.first().map(String::as_str) else {
         return Err(CliError::usage("gen: expected 'kg' or 'social'"));
     };
-    let args = Args::parse(&tokens[1..]);
+    let args = Args::parse(&tokens[1..])?;
     let out = args
         .get(&["o", "out"])
         .ok_or_else(|| CliError::usage("gen: missing -o OUT"))?
@@ -606,7 +615,7 @@ fn cmd_gen(tokens: &[String]) -> CliResult {
 }
 
 fn cmd_stats(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     let path = args
         .positional
         .first()
@@ -670,7 +679,7 @@ fn store_graph(dir: &str, read_only: bool, header: &mut String) -> Result<Graph,
 }
 
 fn cmd_check(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     let rules_path = args
         .get(&["r", "rules"])
         .ok_or_else(|| CliError::usage("check: missing -r RULES"))?
@@ -695,17 +704,13 @@ fn cmd_check(tokens: &[String]) -> CliResult {
     let planner = Planner::new();
     planner.refresh_stats(&g);
     let budget = make_budget(&args, "check", MaxOps::Matches)?;
-    let cfg = grepair_match::MatchConfig::default();
-    let counts: Vec<usize> = if args.has("frozen") {
-        let frozen = grepair_graph::FrozenGraph::freeze(&g);
-        let matcher =
-            grepair_match::Matcher::with_planner(&frozen, cfg, &planner).with_budget(&budget);
-        rules.rules.iter().map(|r| matcher.count(&r.pattern)).collect()
-    } else {
-        let matcher =
-            grepair_match::Matcher::with_planner(&g, cfg, &planner).with_budget(&budget);
-        rules.rules.iter().map(|r| matcher.count(&r.pattern)).collect()
-    };
+    let matcher = grepair_match::Matcher::with_planner(
+        &g,
+        grepair_match::MatchConfig::default(),
+        &planner,
+    )
+    .with_budget(&budget);
+    let counts: Vec<usize> = rules.rules.iter().map(|r| matcher.count(&r.pattern)).collect();
     let mut out = header;
     let mut total = 0usize;
     for (r, n) in rules.rules.iter().zip(counts) {
@@ -731,7 +736,7 @@ fn cmd_check(tokens: &[String]) -> CliResult {
 }
 
 fn cmd_explain(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     let rules = load_rules(
         args.get(&["r", "rules"])
             .ok_or_else(|| CliError::usage("explain: missing -r RULES"))?,
@@ -803,7 +808,7 @@ fn cmd_explain(tokens: &[String]) -> CliResult {
 }
 
 fn cmd_watch(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     let rules_path = args
         .get(&["r", "rules"])
         .ok_or_else(|| CliError::usage("watch: missing -r RULES"))?
@@ -909,7 +914,7 @@ fn cmd_watch(tokens: &[String]) -> CliResult {
 }
 
 fn cmd_repair(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     let rules_path = args
         .get(&["r", "rules"])
         .ok_or_else(|| CliError::usage("repair: missing -r RULES"))?
@@ -917,14 +922,11 @@ fn cmd_repair(tokens: &[String]) -> CliResult {
     let (rules, spans) = load_rules_spanned(&rules_path)?;
     lint_preflight("repair", &rules_path, &rules, &spans, &args)?;
     let trace = trace_arg(&args);
-    let mut config = if args.has("naive") {
+    let config = if args.has("naive") {
         EngineConfig::naive_with_indexes()
     } else {
         EngineConfig::default()
     };
-    if args.has("frozen") {
-        config.freeze_scans = true;
-    }
     let budget = make_budget(&args, "repair", MaxOps::Ops)?;
     let engine = RepairEngine::new(config).with_budget(&budget);
 
@@ -1012,7 +1014,7 @@ fn cmd_repair(tokens: &[String]) -> CliResult {
 /// from every layer; bare `metrics` prints whatever the process has
 /// accumulated so far.
 fn cmd_metrics(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     if args.get(&["r", "rules"]).is_some() {
         grepair_obs::set_tracing(true);
         let pass = cmd_check(tokens);
@@ -1032,7 +1034,7 @@ fn cmd_store(tokens: &[String]) -> CliResult {
             "store: expected 'init', 'status', 'compact', 'export' or 'fsck'",
         ));
     };
-    let args = Args::parse(&tokens[1..]);
+    let args = Args::parse(&tokens[1..])?;
     let dir = args
         .get(&["d", "dir", "store"])
         .ok_or_else(|| CliError::usage(format!("store {sub}: missing -d DIR")))?;
@@ -1106,7 +1108,7 @@ fn cmd_store(tokens: &[String]) -> CliResult {
 }
 
 fn cmd_lint(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     let rules_path = args
         .get(&["r", "rules"])
         .ok_or_else(|| CliError::usage("lint: missing -r RULES"))?
@@ -1134,7 +1136,7 @@ fn cmd_lint(tokens: &[String]) -> CliResult {
 }
 
 fn cmd_analyze(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     let rules = load_rules(
         args.get(&["r", "rules"])
             .ok_or_else(|| CliError::usage("analyze: missing -r RULES"))?,
@@ -1172,7 +1174,7 @@ fn cmd_analyze(tokens: &[String]) -> CliResult {
 }
 
 fn cmd_mine(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     let g = load_graph(
         args.get(&["g", "graph"])
             .ok_or_else(|| CliError::usage("mine: missing -g GRAPH"))?,
@@ -1213,7 +1215,7 @@ fn cmd_mine(tokens: &[String]) -> CliResult {
 }
 
 fn cmd_fmt(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     let rules = load_rules(
         args.get(&["r", "rules"])
             .ok_or_else(|| CliError::usage("fmt: missing -r RULES"))?,
@@ -1328,51 +1330,6 @@ mod tests {
         .unwrap();
         assert!(out.contains("applied"), "{out}");
 
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn frozen_switch_matches_live_results() {
-        let dir = tmpdir();
-        let dirty = dir.join("dirty-frozen.json");
-        let rules = dir.join("rules-frozen.grr");
-        let out_live = dir.join("repaired-live.json");
-        let out_frozen = dir.join("repaired-frozen.json");
-        dispatch(&toks(&[
-            "gen", "kg", "--persons", "200", "--noise", "0.1",
-            "-o", dirty.to_str().unwrap(),
-        ]))
-        .unwrap();
-        std::fs::write(&rules, grepair_gen::catalog::GOLD_KG_DSL).unwrap();
-
-        // check: identical per-rule counts with and without --frozen.
-        let live = dispatch(&toks(&[
-            "check", "-r", rules.to_str().unwrap(), "-g", dirty.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let frozen = dispatch(&toks(&[
-            "check", "-r", rules.to_str().unwrap(), "-g", dirty.to_str().unwrap(),
-            "--frozen",
-        ]))
-        .unwrap();
-        assert_eq!(live, frozen);
-
-        // repair: identical repaired graphs with and without --frozen.
-        dispatch(&toks(&[
-            "repair", "-r", rules.to_str().unwrap(), "-g", dirty.to_str().unwrap(),
-            "-o", out_live.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let out = dispatch(&toks(&[
-            "repair", "-r", rules.to_str().unwrap(), "-g", dirty.to_str().unwrap(),
-            "-o", out_frozen.to_str().unwrap(), "--frozen",
-        ]))
-        .unwrap();
-        assert!(out.contains("converged: true"), "{out}");
-        assert_eq!(
-            std::fs::read_to_string(&out_live).unwrap(),
-            std::fs::read_to_string(&out_frozen).unwrap()
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

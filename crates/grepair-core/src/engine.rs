@@ -27,25 +27,27 @@
 //!   applied at most [`EngineConfig::max_churn`] times, which bounds
 //!   runtime even for rule sets whose trigger graph is cyclic.
 //!
-//! ## Full scans over frozen snapshots
+//! ## Full scans read the live graph
 //!
 //! Every *full* scan — each naive round, the incremental engine's seed
-//! scan, and the final fixpoint verification — is a pure read phase. With
-//! [`EngineConfig::freeze_scans`] the engine first compacts the graph
-//! into a [`grepair_graph::FrozenGraph`] CSR snapshot and matches against
-//! that, which trades one `O(V + E)` freeze for cache-friendly,
-//! binary-searchable adjacency during the scan. Match output is
-//! byte-identical to scanning the live graph (see
-//! [`grepair_match::view`]), so the choice is purely a performance knob.
-//! Delta-driven re-matching after each repair always runs on the live
-//! graph — the snapshot would be stale after the first applied repair.
+//! scan, and the final fixpoint verification — matches directly on the
+//! live [`Graph`], the same structure delta-driven re-matching reads.
+//! There is one scan path: an earlier per-scan CSR freeze cost more than
+//! its compacted layout saved, end to end.
+//!
+//! ## One round loop
+//!
+//! Naive rounds and stratified scheduling share one stratum loop. The
+//! naive worklist is a single stratum of all rules with the churn guard
+//! on and the [`EngineConfig::max_rounds`] cap; an acyclic schedule runs
+//! each topological stratum with the guard off and no round cap.
 
 use crate::analysis::{l_overlap, preconditions_of, Preconditions};
 use crate::apply::{apply_rule, revalidate, Applied, AppliedOp};
 use crate::cost::estimate_cost;
 use crate::rule::Grr;
-use grepair_graph::{EditCosts, FrozenGraph, Graph, NodeId};
-use grepair_match::{GraphView, Match, MatchConfig, Matcher, Planner, TouchSet};
+use grepair_graph::{EditCosts, Graph, NodeId};
+use grepair_match::{Match, MatchConfig, Matcher, Planner, TouchSet};
 use grepair_obs as obs;
 use rayon::prelude::*;
 use rustc_hash::FxHashMap;
@@ -82,14 +84,6 @@ pub struct EngineConfig {
     pub costs: EditCosts,
     /// Enumerate rule matches in parallel during full scans (F8).
     pub parallel: bool,
-    /// Build a [`FrozenGraph`] CSR snapshot before every full scan
-    /// (naive rounds, the incremental seed scan, fixpoint verification)
-    /// and match against it instead of the live graph. Match output is
-    /// byte-identical; the compacted layout pays off on label-filtered
-    /// scans over non-tiny graphs. On by default for
-    /// [`EngineConfig::naive_with_indexes`], whose cost is dominated by
-    /// repeated full scans.
-    pub freeze_scans: bool,
     /// Run a final full scan to count residual violations.
     pub verify_fixpoint: bool,
     /// Analysis-driven stratified scheduling. When the rule set's trigger
@@ -113,7 +107,6 @@ impl Default for EngineConfig {
             max_churn: 16,
             costs: EditCosts::default(),
             parallel: false,
-            freeze_scans: false,
             verify_fixpoint: true,
             stratify: true,
         }
@@ -131,13 +124,11 @@ impl EngineConfig {
     }
 
     /// Naive rounds but with the optimized matcher (isolates the
-    /// incremental-maintenance contribution, F6). Full scans run over a
-    /// frozen CSR snapshot by default — this engine's cost is almost
-    /// entirely repeated full scans, exactly the phase snapshots speed up.
+    /// incremental-maintenance contribution, F6). Every round is a full
+    /// scan of the live graph; this is what `repair --naive` runs.
     pub fn naive_with_indexes() -> Self {
         Self {
             mode: EngineMode::Naive,
-            freeze_scans: true,
             ..Self::default()
         }
     }
@@ -554,21 +545,22 @@ impl RepairEngine {
         } else {
             None
         };
-        match schedule {
-            Some(strata) => {
+        match (schedule, self.config.mode) {
+            (Some(strata), _) => {
                 tel.strata.add(strata.len() as u64);
-                self.run_stratified(
-                    g, rules, &strata, &mut report, max_repairs, &mut sink, planner, &tel,
+                self.run_strata(
+                    g, rules, &strata, false, &mut report, max_repairs, &mut sink, planner, &tel,
                 )
             }
-            None => match self.config.mode {
-                EngineMode::Naive => {
-                    self.run_naive(g, rules, &mut report, max_repairs, &mut sink, planner, &tel)
-                }
-                EngineMode::Incremental => {
-                    self.run_incremental(g, rules, &mut report, max_repairs, &mut sink, planner, &tel)
-                }
-            },
+            (None, EngineMode::Naive) => {
+                let all = [(0..rules.len()).collect()];
+                self.run_strata(
+                    g, rules, &all, true, &mut report, max_repairs, &mut sink, planner, &tel,
+                )
+            }
+            (None, EngineMode::Incremental) => {
+                self.run_incremental(g, rules, &mut report, max_repairs, &mut sink, planner, &tel)
+            }
         }
         // The report's scheduling counters are read back from the run's
         // registry-backed telemetry (per-run children, so the values are
@@ -632,10 +624,7 @@ impl RepairEngine {
     /// Multi-rule parallel sweep; with the `parallel` feature all rules'
     /// morsels share one work queue (stealing across rules and within a
     /// pattern).
-    fn parallel_scan<G: GraphView + Sync>(
-        matcher: &Matcher<'_, G>,
-        rules: &[&Grr],
-    ) -> Vec<Vec<Match>> {
+    fn parallel_scan(matcher: &Matcher<'_>, rules: &[&Grr]) -> Vec<Vec<Match>> {
         #[cfg(feature = "parallel")]
         {
             let patterns: Vec<&grepair_match::Pattern> =
@@ -649,13 +638,9 @@ impl RepairEngine {
             .collect()
     }
 
-    /// One full multi-rule scan over an arbitrary view, honoring the
-    /// `parallel` toggle. Results are indexed like `rules`.
-    fn scan_matches<G: GraphView + Sync>(
-        &self,
-        matcher: &Matcher<'_, G>,
-        rules: &[&Grr],
-    ) -> Vec<Vec<Match>> {
+    /// One full multi-rule scan, honoring the `parallel` toggle. Results
+    /// are indexed like `rules`.
+    fn scan_matches(&self, matcher: &Matcher<'_>, rules: &[&Grr]) -> Vec<Vec<Match>> {
         if self.config.parallel {
             Self::parallel_scan(matcher, rules)
         } else {
@@ -679,34 +664,9 @@ impl RepairEngine {
         self.count_violations_with(g, rules, &planner)
     }
 
-    /// Freeze `g` for a scan, using the chunk-parallel freeze when this
-    /// engine runs parallel (identical output either way).
-    fn freeze_for_scan(&self, g: &Graph) -> FrozenGraph {
-        #[cfg(feature = "parallel")]
-        if self.config.parallel {
-            return FrozenGraph::par_freeze(g);
-        }
-        FrozenGraph::freeze(g)
-    }
-
     fn count_violations_with(&self, g: &Graph, rules: &[Grr], planner: &Planner) -> usize {
-        if self.config.freeze_scans {
-            let frozen = self.freeze_for_scan(g);
-            self.count_with(
-                &Matcher::with_planner(&frozen, self.config.match_config, planner)
-                    .with_budget(&self.budget),
-                rules,
-            )
-        } else {
-            self.count_with(
-                &Matcher::with_planner(g, self.config.match_config, planner)
-                    .with_budget(&self.budget),
-                rules,
-            )
-        }
-    }
-
-    fn count_with<G: GraphView + Sync>(&self, matcher: &Matcher<'_, G>, rules: &[Grr]) -> usize {
+        let matcher =
+            Matcher::with_planner(g, self.config.match_config, planner).with_budget(&self.budget);
         if self.config.parallel {
             rules.par_iter().map(|r| matcher.count(&r.pattern)).sum()
         } else {
@@ -722,10 +682,6 @@ impl RepairEngine {
     /// Full scan restricted to the rules marked in `dirty` (`None` = all
     /// rules) — the naive engine's label-keyed worklist skips rules whose
     /// match sets provably cannot have changed since their last scan.
-    ///
-    /// With [`EngineConfig::freeze_scans`] the matching itself runs over a
-    /// freshly frozen CSR snapshot; cost estimation always reads the live
-    /// graph (identical data — the snapshot is taken at the same version).
     fn full_scan_filtered(
         &self,
         g: &Graph,
@@ -738,16 +694,9 @@ impl RepairEngine {
             Some(d) => (0..rules.len()).filter(|&i| d[i]).collect(),
         };
         let subset: Vec<&Grr> = selected.iter().map(|&i| &rules[i]).collect();
-        let per_rule: Vec<Vec<Match>> = if self.config.freeze_scans {
-            let frozen = self.freeze_for_scan(g);
-            let matcher = Matcher::with_planner(&frozen, self.config.match_config, planner)
-                .with_budget(&self.budget);
-            self.scan_matches(&matcher, &subset)
-        } else {
-            let matcher = Matcher::with_planner(g, self.config.match_config, planner)
-                .with_budget(&self.budget);
-            self.scan_matches(&matcher, &subset)
-        };
+        let matcher =
+            Matcher::with_planner(g, self.config.match_config, planner).with_budget(&self.budget);
+        let per_rule = self.scan_matches(&matcher, &subset);
         let mut out = Vec::new();
         for (k, ms) in per_rule.into_iter().enumerate() {
             let ri = selected[k];
@@ -764,11 +713,38 @@ impl RepairEngine {
         out
     }
 
+    /// The round loop shared by naive and stratified scheduling. Each
+    /// stratum in `strata` is driven to fixpoint once, in order, and never
+    /// revisited; within a stratum every round is a full scan of the
+    /// stratum's dirty rules, applied cheapest-first.
+    ///
+    /// `guarded` selects the naive worklist's safety nets: the churn
+    /// guard ([`EngineConfig::max_churn`]) and the
+    /// [`EngineConfig::max_rounds`] cap. The naive engine passes one
+    /// stratum of all rules with `guarded` set. A topological leveling
+    /// from [`crate::analysis::stratify`] runs unguarded: no rule can
+    /// enable a rule in its own or an earlier stratum, so acyclicity
+    /// *proves* every chain of enablements is finite, and the only repeat
+    /// work is a rule re-fixing partially repaired matches of its own
+    /// pattern (e.g. several parallel duplicate edges), which strictly
+    /// shrinks the match set. `max_repairs` stays as a backstop either
+    /// way.
+    ///
+    /// Dirty-rule worklist: a rule is rescanned in round k+1 only if (a)
+    /// some round-k operation could have *enabled* a new match at the
+    /// label level ([`ops_can_enable`] — the same sound
+    /// over-approximation the incremental trigger filter uses), or (b)
+    /// one of its own repairs left its match still valid (partial fixes
+    /// and ineffective noop rules). Every other rule's match set is
+    /// provably unchanged: its round-k matches were all attempted and
+    /// eliminated, and nothing could have created new ones.
     #[allow(clippy::too_many_arguments)]
-    fn run_naive(
+    fn run_strata(
         &self,
         g: &mut Graph,
         rules: &[Grr],
+        strata: &[Vec<usize>],
+        guarded: bool,
         report: &mut RepairReport,
         max_repairs: usize,
         sink: &mut dyn RepairSink,
@@ -776,138 +752,31 @@ impl RepairEngine {
         tel: &EngineTelemetry,
     ) {
         let mut churn: FxHashMap<u64, u32> = FxHashMap::default();
-        // Label-keyed dirty-rule worklist. A rule is rescanned in round
-        // k+1 only if (a) some round-k operation could have *enabled* a
-        // new match at the label level ([`ops_can_enable`] — the same
-        // sound over-approximation the incremental trigger filter uses),
-        // or (b) one of its own repairs left its match still valid
-        // (partial fixes like deleting one of several parallel witness
-        // edges, and ineffective noop rules). Every other rule's match
-        // set is provably unchanged: its round-k matches were all
-        // attempted and eliminated, and nothing could have created new
-        // ones.
-        let preconditions: Vec<Preconditions> = rules.iter().map(preconditions_of).collect();
-        let mut dirty = vec![true; rules.len()];
-        for _round in 0..self.config.max_rounds {
-            // Guardrail boundary: cancels/deadlines/caps are observed
-            // *between* rounds, so a trip always leaves the graph at a
-            // completed-round prefix.
-            if let Some(trip) = self.budget.checkpoint() {
-                report.outcome = trip.into();
-                return;
-            }
-            let _round_span = obs::span("engine.round", "engine");
-            // Repairs drift the distributions; re-snapshot statistics
-            // once the drift is large enough to matter. Small drifts keep
-            // the statistics epoch — and with it every cached plan.
-            if self.wants_stats() {
-                planner.refresh_if_drifted(g);
-            }
-            for (ri, d) in dirty.iter().enumerate() {
-                if *d {
-                    tel.rule_scans[ri].inc();
-                }
-            }
-            let mut violations = self.full_scan_filtered(g, rules, Some(&dirty), planner);
-            if self.budget.is_tripped() {
-                // Mid-scan trip: the scan (and so the round) is partial —
-                // abandon it without applying anything. Nothing of this
-                // round reached the graph or the sink.
-                report.outcome = self.budget.tripped().map(Into::into).unwrap_or_default();
-                return;
-            }
-            report.rounds += 1;
-            tel.rounds.inc();
-            if violations.is_empty() {
-                return;
-            }
-            for v in &violations {
-                report.per_rule[v.rule].matches_found += 1;
-            }
-            // Cheapest-first within the round (best-repair arbitration).
-            violations.sort_by(|a, b| a.cmp_key().cmp(&b.cmp_key()));
-            let round_ops_start = report.ops.len();
-            let mut next_dirty = vec![false; rules.len()];
-            let mut applied_any = false;
-            for mut v in violations {
-                if report.repairs_applied >= max_repairs {
-                    report.outcome = RepairOutcome::RoundLimit;
-                    if report.ops.len() > round_ops_start {
-                        sink.round_committed();
-                    }
-                    return;
-                }
-                if !revalidate(g, &rules[v.rule].pattern, &mut v.m) {
-                    continue;
-                }
-                if !self.admit(&mut churn, &v) {
-                    continue;
-                }
-                if self.apply_one(g, rules, &v, report, sink, tel) {
-                    applied_any = true;
-                }
-                // Persisting match after its own repair: the rule must be
-                // rescanned even if no operation label-triggers it. `v` is
-                // owned and dead after this, so revalidate in place.
-                if revalidate(g, &rules[v.rule].pattern, &mut v.m) {
-                    next_dirty[v.rule] = true;
-                }
-            }
-            sink.round_committed();
-            self.budget
-                .charge_ops((report.ops.len() - round_ops_start) as u64);
-            if !applied_any {
-                return;
-            }
-            let round_ops = &report.ops[round_ops_start..];
-            for (ri, pre) in preconditions.iter().enumerate() {
-                if !next_dirty[ri] && ops_can_enable(round_ops, pre) {
-                    next_dirty[ri] = true;
-                }
-            }
-            dirty = next_dirty;
-            if !dirty.iter().any(|&d| d) {
-                return;
-            }
-        }
-        report.outcome = RepairOutcome::RoundLimit;
-    }
-
-    /// Stratified scheduling over an acyclic trigger graph. `strata` is a
-    /// topological leveling from [`crate::analysis::stratify`]: no rule
-    /// can enable a rule in its own or an earlier stratum, so each
-    /// stratum is driven to fixpoint once, in order, and never revisited.
-    /// The churn guard is intentionally absent — acyclicity *proves* that
-    /// every chain of enablements is finite, so the only repeat work is a
-    /// rule re-fixing partially repaired matches of its own pattern
-    /// (e.g. several parallel duplicate edges), which strictly shrinks
-    /// the match set. `max_repairs` stays as a backstop.
-    #[allow(clippy::too_many_arguments)]
-    fn run_stratified(
-        &self,
-        g: &mut Graph,
-        rules: &[Grr],
-        strata: &[Vec<usize>],
-        report: &mut RepairReport,
-        max_repairs: usize,
-        sink: &mut dyn RepairSink,
-        planner: &Planner,
-        tel: &EngineTelemetry,
-    ) {
         let preconditions: Vec<Preconditions> = rules.iter().map(preconditions_of).collect();
         for stratum in strata {
             let mut dirty = vec![false; rules.len()];
             for &ri in stratum {
                 dirty[ri] = true;
             }
+            let mut rounds = 0;
             loop {
-                // Guardrail boundary — covers both the round edge and the
-                // stratum edge (the first iteration per stratum).
+                if guarded && rounds == self.config.max_rounds {
+                    report.outcome = RepairOutcome::RoundLimit;
+                    return;
+                }
+                rounds += 1;
+                // Guardrail boundary: cancels/deadlines/caps are observed
+                // *between* rounds (and strata), so a trip always leaves
+                // the graph at a completed-round prefix.
                 if let Some(trip) = self.budget.checkpoint() {
                     report.outcome = trip.into();
                     return;
                 }
                 let _round_span = obs::span("engine.round", "engine");
+                // Repairs drift the distributions; re-snapshot statistics
+                // once the drift is large enough to matter. Small drifts
+                // keep the statistics epoch — and with it every cached
+                // plan.
                 if self.wants_stats() {
                     planner.refresh_if_drifted(g);
                 }
@@ -918,7 +787,9 @@ impl RepairEngine {
                 }
                 let mut violations = self.full_scan_filtered(g, rules, Some(&dirty), planner);
                 if self.budget.is_tripped() {
-                    // Mid-scan trip: abandon the partial round entirely.
+                    // Mid-scan trip: the scan (and so the round) is
+                    // partial — abandon it without applying anything.
+                    // Nothing of this round reached the graph or the sink.
                     report.outcome = self.budget.tripped().map(Into::into).unwrap_or_default();
                     return;
                 }
@@ -930,16 +801,15 @@ impl RepairEngine {
                 for v in &violations {
                     report.per_rule[v.rule].matches_found += 1;
                 }
-                // Cheapest-first within the pass (best-repair arbitration,
-                // identical to the worklist engines).
+                // Cheapest-first within the round (best-repair arbitration).
                 violations.sort_by(|a, b| a.cmp_key().cmp(&b.cmp_key()));
-                let pass_ops_start = report.ops.len();
+                let round_ops_start = report.ops.len();
                 let mut next_dirty = vec![false; rules.len()];
                 let mut applied_any = false;
                 for mut v in violations {
                     if report.repairs_applied >= max_repairs {
                         report.outcome = RepairOutcome::RoundLimit;
-                        if report.ops.len() > pass_ops_start {
+                        if report.ops.len() > round_ops_start {
                             sink.round_committed();
                         }
                         return;
@@ -947,27 +817,31 @@ impl RepairEngine {
                     if !revalidate(g, &rules[v.rule].pattern, &mut v.m) {
                         continue;
                     }
+                    if guarded && !self.admit(&mut churn, &v) {
+                        continue;
+                    }
                     if self.apply_one(g, rules, &v, report, sink, tel) {
                         applied_any = true;
                     }
+                    // Persisting match after its own repair: the rule must
+                    // be rescanned even if no operation label-triggers it.
+                    // `v` is owned and dead after this, so revalidate in
+                    // place.
                     if revalidate(g, &rules[v.rule].pattern, &mut v.m) {
                         next_dirty[v.rule] = true;
                     }
                 }
                 sink.round_committed();
                 self.budget
-                    .charge_ops((report.ops.len() - pass_ops_start) as u64);
+                    .charge_ops((report.ops.len() - round_ops_start) as u64);
                 if !applied_any {
-                    // Only noop repairs remain (ineffective rules): the
+                    // Only noop or churn-guarded repairs remain: the
                     // stratum cannot make further progress.
                     break;
                 }
-                // Within a stratum no rule can label-enable another (that
-                // edge would have forced a later stratum), but the check
-                // keeps the scheduler honest if the approximation drifts.
-                let pass_ops = &report.ops[pass_ops_start..];
+                let round_ops = &report.ops[round_ops_start..];
                 for &ri in stratum {
-                    if !next_dirty[ri] && ops_can_enable(pass_ops, &preconditions[ri]) {
+                    if !next_dirty[ri] && ops_can_enable(round_ops, &preconditions[ri]) {
                         next_dirty[ri] = true;
                     }
                 }
@@ -2025,38 +1899,6 @@ mod tests {
         assert_eq!(popped[4], 2.0);
         assert_eq!(popped[5], f64::INFINITY);
         assert!(popped[6].is_nan(), "NaN must sort last: {popped:?}");
-    }
-
-    #[test]
-    fn frozen_scans_reach_identical_fixpoints() {
-        let rules = rules();
-        for base_cfg in [
-            EngineConfig::default(),
-            EngineConfig::naive_with_indexes(),
-        ] {
-            let mut live_cfg = base_cfg.clone();
-            live_cfg.freeze_scans = false;
-            let mut frozen_cfg = base_cfg;
-            frozen_cfg.freeze_scans = true;
-
-            let mut g1 = dirty_graph();
-            let r1 = RepairEngine::new(live_cfg).repair(&mut g1, &rules);
-            let mut g2 = dirty_graph();
-            let r2 = RepairEngine::new(frozen_cfg).repair(&mut g2, &rules);
-            assert!(r1.converged && r2.converged);
-            assert_eq!(r1.repairs_applied, r2.repairs_applied);
-            assert_eq!(r1.rounds, r2.rounds);
-            assert_eq!(g1.num_nodes(), g2.num_nodes());
-            assert_eq!(g1.num_edges(), g2.num_edges());
-            assert_eq!(g1.to_doc(), g2.to_doc(), "fixpoints must be identical");
-        }
-    }
-
-    #[test]
-    fn naive_with_indexes_freezes_by_default() {
-        assert!(EngineConfig::naive_with_indexes().freeze_scans);
-        assert!(!EngineConfig::default().freeze_scans);
-        assert!(!EngineConfig::naive().freeze_scans);
     }
 
     #[test]

@@ -40,8 +40,8 @@
 //! - [`io`] — portable JSON / plain-text documents.
 //! - [`dump`] — exact slot-level dumps (tombstones and free lists
 //!   included), the document form behind durable-store snapshots.
-//! - [`snapshot`] — frozen, compacted CSR snapshots for scan-heavy
-//!   matching phases.
+//! - [`snapshot`] — frozen, compacted CSR snapshots (no engine path
+//!   uses them; perfbench times one freeze as a per-layer metric).
 //! - [`stats`] — dataset statistics (T1 table).
 
 #![forbid(unsafe_code)]

@@ -1,10 +1,9 @@
-//! Frozen CSR snapshots of a [`Graph`] for scan-heavy matching phases.
+//! Frozen CSR snapshots of a [`Graph`].
 //!
 //! The mutable [`Graph`] is optimized for the repair engine's write path:
 //! stable ids, tombstoned slots, per-node `Vec<EdgeId>` adjacency and
-//! hash-based indexes. Full pattern-matching scans pay for that layout in
-//! pointer chasing. A [`FrozenGraph`] is a read-only, compacted snapshot
-//! rebuilt in one pass:
+//! hash-based indexes. A [`FrozenGraph`] is a read-only, compacted
+//! snapshot rebuilt in one pass:
 //!
 //! - **tombstone-free node/edge arrays** — live elements only, addressed
 //!   densely; dead-slot checks become one array lookup;
@@ -12,19 +11,20 @@
 //!   `(edge_label, neighbor_label, neighbor, edge)` so label-constrained
 //!   neighbor enumeration and edge-existence checks are binary searches
 //!   over a contiguous slice instead of a filtered list walk;
-//! - **contiguous per-label node runs** (ascending node id) backing the
-//!   matcher's label-index candidate retrieval with zero re-sorting;
+//! - **contiguous per-label node runs** (ascending node id);
 //! - **precomputed neighbor-signature bitsets** copied out of the live
 //!   graph (see [`crate::sig_bit`]);
 //! - **columnar attribute storage** — one flat key-sorted `(key, value)`
 //!   column partitioned by node, plus a `(key, value) → sorted node list`
-//!   index for equality-join candidate retrieval.
+//!   index.
 //!
-//! All queries answer in terms of the **original** [`NodeId`]/[`EdgeId`]s,
-//! so a matcher running over a snapshot produces output byte-identical to
-//! one running over the live graph. A snapshot records the
-//! [`Graph::version`] it was built from; [`FrozenGraph::is_stale`] tells
-//! callers when a rebuild is due.
+//! All queries answer in terms of the **original** [`NodeId`]/[`EdgeId`]s.
+//! A snapshot records the [`Graph::version`] it was built from;
+//! [`FrozenGraph::is_stale`] tells callers when a rebuild is due.
+//!
+//! The matcher and the repair engines scan the live [`Graph`] directly:
+//! an end-to-end ablation showed a per-scan freeze costs more than the
+//! compacted layout saves. No engine path builds a snapshot.
 
 use crate::graph::Graph;
 use crate::ids::{AttrKeyId, EdgeId, LabelId, NodeId};
@@ -177,186 +177,6 @@ impl FrozenGraph {
 
         // Contiguous per-label node runs via counting sort; ascending-id
         // node iteration keeps each run sorted.
-        let n_labels = g.labels().len();
-        let mut counts = vec![0u32; n_labels];
-        for &l in &labels {
-            counts[l.index()] += 1;
-        }
-        let mut label_off = Vec::with_capacity(n_labels + 1);
-        label_off.push(0u32);
-        for c in &counts {
-            label_off.push(label_off.last().unwrap() + c);
-        }
-        let mut cursor: Vec<u32> = label_off[..n_labels].to_vec();
-        let mut label_nodes = vec![NodeId(0); n];
-        for (dense, &id) in node_ids.iter().enumerate() {
-            let l = labels[dense].index();
-            label_nodes[cursor[l] as usize] = id;
-            cursor[l] += 1;
-        }
-
-        let mut edge_label_counts = vec![0u64; n_labels];
-        for entry in &out {
-            edge_label_counts[entry.label.index()] += 1;
-        }
-
-        FrozenGraph {
-            built_version: g.version(),
-            dense_of,
-            node_ids,
-            labels,
-            sigs,
-            attr_off,
-            attrs,
-            out_off,
-            out,
-            in_off,
-            inc,
-            label_off,
-            label_nodes,
-            edge_label_counts,
-            attr_index,
-            label_interner: g.labels().clone(),
-            attr_key_interner: g.attr_keys().clone(),
-            n_edges: g.num_edges(),
-        }
-    }
-
-    /// Build a snapshot of `g` with the per-node work fanned out over
-    /// rayon workers.
-    ///
-    /// The dense node maps are built serially (one cheap pass), then the
-    /// heavy per-node work — CSR adjacency runs (including each run's
-    /// sort) and the attribute column — is computed over fixed-size node
-    /// chunks in parallel and stitched back together in chunk order.
-    /// Because chunk outputs are concatenated in ascending-dense order,
-    /// every array, offset table and index bucket comes out identical to
-    /// [`FrozenGraph::freeze`]'s; the result is byte-for-byte the same
-    /// snapshot (verifiable with [`FrozenGraph::check_against`]).
-    #[cfg(feature = "parallel")]
-    pub fn par_freeze(g: &Graph) -> Self {
-        let _span = grepair_obs::span("graph.freeze", "graph");
-        let freeze_started = grepair_obs::timer();
-        let frozen = Self::par_freeze_inner(g);
-        grepair_obs::record_since_named("graph.freeze_ns", freeze_started);
-        frozen
-    }
-
-    #[cfg(feature = "parallel")]
-    fn par_freeze_inner(g: &Graph) -> Self {
-        use rayon::prelude::*;
-
-        /// Nodes per freeze chunk: large enough to amortize scheduling,
-        /// small enough that skewed degree distributions balance.
-        const FREEZE_CHUNK: usize = 1024;
-
-        let n = g.num_nodes();
-        let slot_cap = g.nodes().last().map(|id| id.index() + 1).unwrap_or(0);
-        let mut dense_of = vec![DEAD; slot_cap];
-        let mut node_ids = Vec::with_capacity(n);
-        let mut labels = Vec::with_capacity(n);
-        let mut sigs = Vec::with_capacity(n);
-        for (dense, id) in g.nodes().enumerate() {
-            dense_of[id.index()] = dense as u32;
-            node_ids.push(id);
-            labels.push(g.node_label(id).expect("live node has a label"));
-            sigs.push(g.signature(id));
-        }
-
-        /// Everything one node chunk contributes, in dense-node order.
-        #[derive(Default)]
-        struct ChunkOut {
-            attrs: Vec<(AttrKeyId, Value)>,
-            attr_lens: Vec<u32>,
-            attr_index: FxHashMap<(AttrKeyId, Value), Vec<NodeId>>,
-            out: Vec<CsrEntry>,
-            out_lens: Vec<u32>,
-            inc: Vec<CsrEntry>,
-            in_lens: Vec<u32>,
-        }
-
-        let bounds: Vec<(usize, usize)> = (0..n)
-            .step_by(FREEZE_CHUNK.max(1))
-            .map(|lo| (lo, (lo + FREEZE_CHUNK).min(n)))
-            .collect();
-        let dense_of_ref = &dense_of;
-        let labels_ref = &labels;
-        let node_ids_ref = &node_ids;
-        let chunk_outs: Vec<ChunkOut> = bounds
-            .par_iter()
-            .map(|&(lo, hi)| {
-                let label_of = |id: NodeId| labels_ref[dense_of_ref[id.index()] as usize];
-                let mut co = ChunkOut::default();
-                for &id in &node_ids_ref[lo..hi] {
-                    let astart = co.attrs.len();
-                    for (k, v) in g.attrs(id) {
-                        co.attrs.push((*k, v.clone()));
-                        co.attr_index.entry((*k, v.clone())).or_default().push(id);
-                    }
-                    co.attr_lens.push((co.attrs.len() - astart) as u32);
-
-                    let start = co.out.len();
-                    for e in g.out_edges(id) {
-                        let er = g.edge(e).expect("live adjacency edge");
-                        co.out.push(CsrEntry {
-                            label: er.label,
-                            neighbor_label: label_of(er.dst),
-                            neighbor: er.dst,
-                            edge: e,
-                        });
-                    }
-                    co.out[start..].sort_unstable_by_key(CsrEntry::sort_key);
-                    co.out_lens.push((co.out.len() - start) as u32);
-
-                    let start = co.inc.len();
-                    for e in g.in_edges(id) {
-                        let er = g.edge(e).expect("live adjacency edge");
-                        co.inc.push(CsrEntry {
-                            label: er.label,
-                            neighbor_label: label_of(er.src),
-                            neighbor: er.src,
-                            edge: e,
-                        });
-                    }
-                    co.inc[start..].sort_unstable_by_key(CsrEntry::sort_key);
-                    co.in_lens.push((co.inc.len() - start) as u32);
-                }
-                co
-            })
-            .collect();
-
-        // Stitch chunk outputs back together in chunk (= dense) order.
-        // Index buckets stay ascending because chunk node ids ascend
-        // across chunks.
-        let mut attr_off = Vec::with_capacity(n + 1);
-        let mut attrs = Vec::new();
-        let mut attr_index: FxHashMap<(AttrKeyId, Value), Vec<NodeId>> = FxHashMap::default();
-        let mut out_off = Vec::with_capacity(n + 1);
-        let mut out = Vec::with_capacity(g.num_edges());
-        let mut in_off = Vec::with_capacity(n + 1);
-        let mut inc = Vec::with_capacity(g.num_edges());
-        attr_off.push(0u32);
-        out_off.push(0u32);
-        in_off.push(0u32);
-        for mut co in chunk_outs {
-            for len in co.attr_lens {
-                attr_off.push(attr_off.last().unwrap() + len);
-            }
-            attrs.append(&mut co.attrs);
-            for (key, mut bucket) in co.attr_index {
-                attr_index.entry(key).or_default().append(&mut bucket);
-            }
-            for len in co.out_lens {
-                out_off.push(out_off.last().unwrap() + len);
-            }
-            out.append(&mut co.out);
-            for len in co.in_lens {
-                in_off.push(in_off.last().unwrap() + len);
-            }
-            inc.append(&mut co.inc);
-        }
-
-        // Per-label runs and edge-label counts, exactly as in `freeze`.
         let n_labels = g.labels().len();
         let mut counts = vec![0u32; n_labels];
         for &l in &labels {
@@ -830,41 +650,6 @@ mod tests {
         let need = sig_bit(Direction::Out, lives, city);
         assert_eq!(f.signature(a) & need, need);
         assert_eq!(f.signature(a), g.signature(a));
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn par_freeze_identical_to_freeze() {
-        let mut g = sample();
-        let name = g.attr_key("name");
-        let person = g.try_label("Person").unwrap();
-        let b = g.nodes_with_label(person)[1];
-        g.set_attr(b, name, Value::from("Ann")).unwrap();
-        let extra = g.add_node_named("Org");
-        g.remove_node(extra).unwrap();
-        let serial = FrozenGraph::freeze(&g);
-        for threads in [1usize, 2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let par = pool.install(|| FrozenGraph::par_freeze(&g));
-            par.check_against(&g).unwrap();
-            assert_eq!(par.dense_of, serial.dense_of);
-            assert_eq!(par.node_ids, serial.node_ids);
-            assert_eq!(par.labels, serial.labels);
-            assert_eq!(par.sigs, serial.sigs);
-            assert_eq!(par.attr_off, serial.attr_off);
-            assert_eq!(par.attrs, serial.attrs);
-            assert_eq!(par.out_off, serial.out_off);
-            assert_eq!(par.out, serial.out);
-            assert_eq!(par.in_off, serial.in_off);
-            assert_eq!(par.inc, serial.inc);
-            assert_eq!(par.label_off, serial.label_off);
-            assert_eq!(par.label_nodes, serial.label_nodes);
-            assert_eq!(par.edge_label_counts, serial.edge_label_counts);
-            assert_eq!(par.attr_index, serial.attr_index);
-        }
     }
 
     #[test]

@@ -152,15 +152,23 @@ fn write_escaped(out: &mut String, s: &str) {
 
 // ---- parser -------------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts (serde_json's
+/// default recursion limit). The parser recurses once per level, so an
+/// unbounded depth would let a hostile input overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 fn parse(s: &str) -> Result<Content> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -215,14 +223,28 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_keyword("true") => Ok(Content::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Content::Bool(false)),
             Some(b'"') => self.string().map(Content::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(Error::new(format!(
                 "unexpected character `{}` at offset {}",
                 other as char, self.pos
             ))),
         }
+    }
+
+    /// Parse one array or object with `parse`, one nesting level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Content>) -> Result<Content> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Content> {
@@ -461,6 +483,19 @@ mod tests {
         assert!(from_str::<i64>("42x").is_err());
         assert!(from_str::<Vec<i64>>("[1,").is_err());
         assert!(from_str::<bool>("tru").is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_limited() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // Objects count toward the same limit.
+        let obj = r#"{"k":"#.repeat(MAX_DEPTH + 1) + "0" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&obj).is_err());
+        // A hostile depth fails fast instead of overflowing the stack.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]
