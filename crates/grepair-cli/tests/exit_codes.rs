@@ -107,3 +107,58 @@ fn deeply_nested_json_is_a_parse_error_not_a_crash() {
     assert!(err.contains("cannot parse"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A hostile `-g` graph file must exit 1 with "cannot parse", by signal
+/// never.
+fn assert_graph_rejected(dir: &Path, name: &str, contents: &str) {
+    let rules = dir.join("gold.grr");
+    std::fs::write(&rules, grepair_gen::catalog::GOLD_KG_DSL).unwrap();
+    let file = dir.join(name);
+    std::fs::write(&file, contents).unwrap();
+    let (code, err) = run(&["check", "-r", path(&rules), "-g", path(&file)]);
+    assert_eq!(code, 1, "{name}: {err}");
+    assert!(err.contains("cannot parse"), "{name}: {err}");
+}
+
+#[test]
+fn deep_nesting_inside_a_graph_is_a_parse_error_not_a_crash() {
+    // A graph reader that rejects a top-level `[` at byte 0 never reaches
+    // the nesting limit with the bare 200k-`[` file; these reach it
+    // under keys it skips.
+    let dir = tmpdir("nested-graph");
+    let deep = "[".repeat(200_000);
+    assert_graph_rejected(&dir, "top.json", &format!(r#"{{"x":{deep}"#));
+    assert_graph_rejected(
+        &dir,
+        "node.json",
+        &format!(r#"{{"nodes":[{{"id":0,"label":"P","x":{deep}"#),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn truncated_graph_is_a_parse_error() {
+    let dir = tmpdir("truncated");
+    let graph = dir.join("g.json");
+    let (code, _) = run(&["gen", "kg", "--persons", "20", "-o", path(&graph)]);
+    assert_eq!(code, 0);
+    let text = std::fs::read_to_string(&graph).unwrap();
+    // Cut two characters into the first label past the middle.
+    let mid = text[text.len() / 2..].find("\"label\": \"").unwrap() + text.len() / 2;
+    let cut = mid + "\"label\": \"".len() + 2;
+    assert_graph_rejected(&dir, "cut.json", &text[..cut]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unicode_escape_with_a_sign_is_a_parse_error() {
+    // `\u` takes exactly four hex digits; `\u+041` once read as `A`.
+    let dir = tmpdir("sign");
+    let graph = dir.join("sign.json");
+    let text = r#"{"nodes":[{"id":0,"label":"\u+041"}],"edges":[]}"#;
+    std::fs::write(&graph, text).unwrap();
+    let (code, err) = run(&["stats", path(&graph)]);
+    assert_eq!(code, 1, "{err}");
+    assert!(err.contains("cannot parse"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}

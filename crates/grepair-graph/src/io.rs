@@ -3,8 +3,11 @@
 //! [`GraphDoc`] is a self-contained, string-labelled document model: node
 //! ids in a doc are arbitrary `u32` handles local to the doc, so docs
 //! survive round trips through graphs whose internal slot allocation
-//! differs (e.g. after deletions). JSON is the interchange format; a
-//! line-oriented plain-text format is provided for quick fixtures.
+//! differs (e.g. after deletions). JSON is the interchange format, read
+//! and written by a codec made for this one shape (`json.rs`: one pass,
+//! no intermediate value tree, output byte-identical to the serde derives
+//! the types keep); a line-oriented plain-text format is provided for
+//! quick fixtures.
 
 use crate::error::{GraphError, Result};
 use crate::graph::Graph;
@@ -111,14 +114,16 @@ impl GraphDoc {
         Ok((g, map))
     }
 
-    /// Serialize to pretty JSON.
+    /// Serialize to pretty JSON: two-space indent, fields in declaration
+    /// order, `attrs` omitted when empty.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("GraphDoc is always serializable")
+        crate::json::write(self)
     }
 
-    /// Parse from JSON.
+    /// Parse from JSON. Key order and whitespace are free, unknown keys
+    /// are skipped, and nesting deeper than 128 is an error.
     pub fn from_json(s: &str) -> Result<Self> {
-        serde_json::from_str(s).map_err(|e| GraphError::Parse(e.to_string()))
+        crate::json::read(s)
     }
 
     /// Serialize to the plain-text fixture format:

@@ -37,7 +37,8 @@
 //! - [`interner`] — label/attr-key interning.
 //! - [`edit_distance`] — graph edit distance (cost table + exact small-graph
 //!   solver + lower bound), backing the paper's "best repair" selection.
-//! - [`io`] — portable JSON / plain-text documents.
+//! - [`io`] — portable JSON / plain-text documents; `json` holds the
+//!   `GraphDoc` JSON codec behind `GraphDoc::{from_json, to_json}`.
 //! - [`dump`] — exact slot-level dumps (tombstones and free lists
 //!   included), the document form behind durable-store snapshots.
 //! - [`snapshot`] — frozen, compacted CSR snapshots (no engine path
@@ -56,6 +57,7 @@ pub mod graph;
 pub mod ids;
 pub mod interner;
 pub mod io;
+mod json;
 pub mod snapshot;
 pub mod stats;
 mod value;

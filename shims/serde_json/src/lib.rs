@@ -369,13 +369,20 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Exactly four ASCII hex digits (`u32::from_str_radix` would also
+    /// take a leading `+`).
     fn hex4(&mut self) -> Result<u32> {
         let slice = self
             .bytes
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| Error::new("truncated \\u escape"))?;
-        let s = std::str::from_utf8(slice).map_err(|e| Error::new(e.to_string()))?;
-        let v = u32::from_str_radix(s, 16).map_err(|e| Error::new(e.to_string()))?;
+        let mut v = 0;
+        for &d in slice {
+            let h = char::from(d)
+                .to_digit(16)
+                .ok_or_else(|| Error::new("\\u escape needs four hex digits"))?;
+            v = v * 16 + h;
+        }
         self.pos += 4;
         Ok(v)
     }
@@ -476,6 +483,15 @@ mod tests {
         assert_eq!(from_str::<String>(r#""Aé""#).unwrap(), "Aé");
         assert_eq!(from_str::<String>(r#""héllo""#).unwrap(), "héllo");
         assert_eq!(from_str::<String>(r#""😀""#).unwrap(), "😀");
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(from_str::<String>(r#""\u0041\u00e9""#).unwrap(), "Aé");
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004""#] {
+            let err = from_str::<String>(bad).unwrap_err();
+            assert!(err.to_string().contains("escape"), "{bad}: {err}");
+        }
     }
 
     #[test]
