@@ -24,7 +24,7 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use grepair_bench::cascade_rules_dsl;
-use grepair_core::{parse_rules, Planner, RepairEngine};
+use grepair_core::{parse_rules, Planner, RepairEngine, RepairOptions};
 use grepair_graph::{CardinalityStats, Graph, Value};
 
 fn smoke() -> bool {
@@ -156,7 +156,14 @@ fn planner_reuse_summary() {
     let cold = criterion::median_time(1, || {
         for _ in 0..runs {
             let planner = Planner::new();
-            let report = engine.repair_with_planner(&mut g, &rules, &planner);
+            let report = engine.repair_with(
+                &mut g,
+                &rules,
+                RepairOptions {
+                    planner: Some(&planner),
+                    ..RepairOptions::default()
+                },
+            );
             assert!(report.converged);
         }
     });
@@ -170,7 +177,14 @@ fn planner_reuse_summary() {
     let mut run_idx = 0usize;
     let warm = criterion::median_time(1, || {
         for _ in 0..runs {
-            let report = engine.repair_with_planner(&mut g, &rules, &planner);
+            let report = engine.repair_with(
+                &mut g,
+                &rules,
+                RepairOptions {
+                    planner: Some(&planner),
+                    ..RepairOptions::default()
+                },
+            );
             assert!(report.converged);
             if run_idx == 1 {
                 second_run_hits = report.plan_cache_hits;

@@ -25,8 +25,8 @@
 #![warn(rust_2018_idioms)]
 
 use grepair_core::{
-    analyze, lint_rules, parse_rules_with_spans, rule_to_dsl, EngineConfig,
-    LintCode, LintPolicy, Planner, RepairEngine, RepairOutcome, RuleSet, RuleSpan, Severity,
+    analyze, lint_rules, parse_rules_with_spans, rule_to_dsl, EngineConfig, LintCode, LintPolicy,
+    Planner, RepairEngine, RepairOptions, RepairOutcome, RuleSet, RuleSpan, Severity,
 };
 use grepair_gen::{
     generate_kg, generate_social, inject_kg_noise, KgConfig, NoiseConfig, SocialConfig,
@@ -860,7 +860,14 @@ fn cmd_watch(tokens: &[String]) -> CliResult {
             let planner = Planner::new();
             for i in 0..runs {
                 let (r0, m0) = (rounds_ctr.get(), matches_ctr.get());
-                let report = engine.repair_with_planner(&mut g, &rules.rules, &planner);
+                let report = engine.repair_with(
+                    &mut g,
+                    &rules.rules,
+                    RepairOptions {
+                        planner: Some(&planner),
+                        ..RepairOptions::default()
+                    },
+                );
                 print_run(&mut out, i, &report);
                 print_metrics(&mut out, r0, m0);
                 final_outcome = report.outcome;

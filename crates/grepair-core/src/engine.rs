@@ -11,7 +11,9 @@
 //!   violation queue, then after each applied repair re-matches **only**
 //!   patterns anchored in the repair's touched-node delta
 //!   ([`grepair_match::Matcher::find_touching`]). Work is proportional to
-//!   the affected neighborhood, not the graph.
+//!   the affected neighborhood, not the graph. Given a
+//!   [`RepairOptions::delta`] of the nodes edited since a verified
+//!   fixpoint, even the seed is delta-driven.
 //!
 //! Shared semantics:
 //!
@@ -30,7 +32,8 @@
 //! ## Full scans read the live graph
 //!
 //! Every *full* scan — each naive round, the incremental engine's seed
-//! scan, and the final fixpoint verification — matches directly on the
+//! scan (unless delta-seeded), and the final fixpoint verification, which
+//! is never skipped or narrowed to a delta — matches directly on the
 //! live [`Graph`], the same structure delta-driven re-matching reads.
 //! There is one scan path: an earlier per-scan CSR freeze cost more than
 //! its compacted layout saved, end to end.
@@ -243,8 +246,33 @@ pub struct RuleStats {
     /// Full scans that included this rule. Under the naive engine's
     /// dirty-rule scheduling this stays below `RepairReport::rounds` for
     /// rules untouched by the cascade; the incremental engine scans every
-    /// rule exactly once (the seed).
+    /// rule exactly once (the seed), or not at all when seeded from a
+    /// [`RepairOptions::delta`].
     pub scans: usize,
+}
+
+/// Optional inputs to [`RepairEngine::repair_with`]. `Default` (all
+/// `None`) is a plain [`RepairEngine::repair`].
+#[derive(Default)]
+pub struct RepairOptions<'a> {
+    /// A caller-owned, long-lived planner whose plan cache and
+    /// statistics carry across runs. `None`: a fresh planner per run.
+    pub planner: Option<&'a Planner>,
+    /// Receives every applied op as it lands, plus round boundaries.
+    /// `None`: the ops only accumulate in [`RepairReport::ops`].
+    pub sink: Option<&'a mut dyn RepairSink>,
+    /// The nodes edited since the graph was last verified free of
+    /// violations of these same rules, by the touch rule of
+    /// [`crate::apply::Applied::touched`] (edge edits: both endpoints;
+    /// node inserts, relabels and attribute edits: the node; node
+    /// deletes: the surviving neighbours; merges: the kept node and the
+    /// endpoints of rewired edges). The incremental worklist then seeds
+    /// its queue from the matches touching these nodes instead of a
+    /// full scan. The caller vouches for the premise: a stale or
+    /// incomplete delta shows up as a residual at the closing full
+    /// verification, not as a missed repair reported clean. Naive and
+    /// stratified runs ignore it. `None`: seed by full scan.
+    pub delta: Option<&'a TouchSet>,
 }
 
 /// Result of a repair run.
@@ -442,65 +470,58 @@ impl RepairEngine {
 
     /// Repair `g` with `rules` until fixpoint (or a guard trips).
     pub fn repair(&self, g: &mut Graph, rules: &[Grr]) -> RepairReport {
-        self.repair_with_sink(g, rules, |_: &AppliedOp| {})
+        self.repair_with(g, rules, RepairOptions::default())
     }
 
-    /// Like [`RepairEngine::repair`], but invokes `sink` with every
-    /// applied operation *as it lands*, in application order.
+    /// [`RepairEngine::repair`] with the optional inputs of
+    /// [`RepairOptions`]: a caller-owned [`Planner`], an op
+    /// [`RepairSink`], and a delta of edited nodes to seed the queue
+    /// from. `RepairOptions::default()` is a plain [`RepairEngine::repair`].
     ///
-    /// This is the durability hook: a store wraps the graph, passes a
-    /// sink that journals each op to its write-ahead log, and the repair
-    /// run becomes replayable — the sink sees exactly the ops that
-    /// mutated the graph (no-ops are never reported), before the next
-    /// violation is attempted. The ops also still accumulate in
-    /// [`RepairReport::ops`].
-    ///
-    /// `sink` is any [`RepairSink`]; a plain `FnMut(&AppliedOp)` closure
-    /// works unchanged (round boundaries become no-ops).
-    pub fn repair_with_sink(
-        &self,
-        g: &mut Graph,
-        rules: &[Grr],
-        sink: impl RepairSink,
-    ) -> RepairReport {
-        let planner = Planner::new();
-        self.repair_with_planner_and_sink(g, rules, &planner, sink)
-    }
-
-    /// Repair with a **caller-owned, long-lived [`Planner`]** — the
-    /// always-warm entry point. The planner carries its statistics
-    /// snapshot, compiled-plan cache and pooled search buffers across
-    /// repair runs, so a watch loop or a store's repair hook pays
-    /// pattern compilation once and then runs every later repair
-    /// entirely from cache (visible as
+    /// **Planner.** A long-lived planner is the always-warm path: it
+    /// carries its statistics snapshot, compiled-plan cache and pooled
+    /// search buffers across runs, so a watch loop or a store pays
+    /// pattern compilation once (later runs show
     /// [`RepairReport::plan_cache_hits`] with zero
-    /// [`RepairReport::pattern_compiles`]).
+    /// [`RepairReport::pattern_compiles`]). It must be dedicated to
+    /// `g`'s lineage — see [`grepair_match::plan`]. Statistics are
+    /// refreshed through [`Planner::refresh_if_drifted`]: within the
+    /// drift tolerance the warmed plans survive; beyond it the refresh
+    /// adopts the graph's write-path–maintained statistics when
+    /// [`Graph::maintain_stats`] is on, or recomputes otherwise.
     ///
-    /// The planner must be dedicated to `g`'s lineage — see
-    /// [`grepair_match::plan`]. Statistics are refreshed through
-    /// [`Planner::refresh_if_drifted`]: within the drift tolerance the
-    /// warmed plans survive; beyond it the refresh adopts the graph's
-    /// write-path–maintained statistics when [`Graph::maintain_stats`]
-    /// is on, or recomputes otherwise.
-    pub fn repair_with_planner(
+    /// **Sink.** The durability hook: the sink sees every applied
+    /// operation *as it lands*, in application order — exactly the ops
+    /// that mutated the graph (no-ops are never reported) — plus the
+    /// round boundaries a store journals at. The ops also still
+    /// accumulate in [`RepairReport::ops`].
+    ///
+    /// **Delta.** See [`RepairOptions::delta`]: under the incremental
+    /// worklist the queue is seeded by [`Matcher::find_touching`] over
+    /// the delta instead of a full scan (no per-rule
+    /// [`RuleStats::scans`] are counted). Naive and stratified runs
+    /// ignore it. The closing fixpoint verification is a full count
+    /// either way, so a delta that missed a violation surfaces as
+    /// `converged: false` with a residual, never as silent damage.
+    pub fn repair_with(
         &self,
         g: &mut Graph,
         rules: &[Grr],
-        planner: &Planner,
+        opts: RepairOptions<'_>,
     ) -> RepairReport {
-        self.repair_with_planner_and_sink(g, rules, planner, |_: &AppliedOp| {})
-    }
-
-    /// [`RepairEngine::repair_with_planner`] + the op sink of
-    /// [`RepairEngine::repair_with_sink`] — the full-control entry point
-    /// durable stores use.
-    pub fn repair_with_planner_and_sink(
-        &self,
-        g: &mut Graph,
-        rules: &[Grr],
-        planner: &Planner,
-        mut sink: impl RepairSink,
-    ) -> RepairReport {
+        let fresh_planner;
+        let planner = match opts.planner {
+            Some(p) => p,
+            None => {
+                fresh_planner = Planner::new();
+                &fresh_planner
+            }
+        };
+        let mut discard = |_: &AppliedOp| {};
+        let sink: &mut dyn RepairSink = match opts.sink {
+            Some(s) => s,
+            None => &mut discard,
+        };
         let start = Instant::now();
         let _span = obs::span("engine.repair", "engine");
         let tel = EngineTelemetry::for_run(rules.len());
@@ -549,18 +570,41 @@ impl RepairEngine {
             (Some(strata), _) => {
                 tel.strata.add(strata.len() as u64);
                 self.run_strata(
-                    g, rules, &strata, false, &mut report, max_repairs, &mut sink, planner, &tel,
+                    g,
+                    rules,
+                    &strata,
+                    false,
+                    &mut report,
+                    max_repairs,
+                    sink,
+                    planner,
+                    &tel,
                 )
             }
             (None, EngineMode::Naive) => {
                 let all = [(0..rules.len()).collect()];
                 self.run_strata(
-                    g, rules, &all, true, &mut report, max_repairs, &mut sink, planner, &tel,
+                    g,
+                    rules,
+                    &all,
+                    true,
+                    &mut report,
+                    max_repairs,
+                    sink,
+                    planner,
+                    &tel,
                 )
             }
-            (None, EngineMode::Incremental) => {
-                self.run_incremental(g, rules, &mut report, max_repairs, &mut sink, planner, &tel)
-            }
+            (None, EngineMode::Incremental) => self.run_incremental(
+                g,
+                rules,
+                opts.delta,
+                &mut report,
+                max_repairs,
+                sink,
+                planner,
+                &tel,
+            ),
         }
         // The report's scheduling counters are read back from the run's
         // registry-backed telemetry (per-run children, so the values are
@@ -571,6 +615,7 @@ impl RepairEngine {
         }
 
         if self.config.verify_fixpoint && !report.outcome.is_budget_trip() {
+            let _verify_span = obs::span("engine.verify", "engine");
             report.violations_remaining = self.count_violations_with(g, rules, planner);
             report.converged = report.violations_remaining == 0;
             // The deadline can expire during the verification scan
@@ -853,17 +898,28 @@ impl RepairEngine {
         }
     }
 
+    /// The incremental worklist: one seeding pass, then cheapest-first
+    /// pops, each applied repair re-matching only the patterns anchored
+    /// in its touched nodes.
+    ///
+    /// The seed is a full scan, or — given a `delta` of the nodes edited
+    /// since the graph was last verified violation-free under these
+    /// rules — [`Matcher::find_touching`] over the delta. Every match in
+    /// such a graph touches the delta, and the arbitration order is
+    /// total, so both seeds yield the same queue and the same run.
     #[allow(clippy::too_many_arguments)]
     fn run_incremental(
         &self,
         g: &mut Graph,
         rules: &[Grr],
+        delta: Option<&TouchSet>,
         report: &mut RepairReport,
         max_repairs: usize,
         sink: &mut dyn RepairSink,
         planner: &Planner,
         tel: &EngineTelemetry,
     ) {
+        let _round_span = obs::span("engine.round", "engine");
         let mut churn: FxHashMap<u64, u32> = FxHashMap::default();
         report.rounds = 1;
         tel.rounds.inc();
@@ -872,21 +928,42 @@ impl RepairEngine {
         // could have *enabled* are re-matched — the rule-dependency
         // pruning that keeps per-repair work independent of |Σ|.
         let preconditions: Vec<Preconditions> = rules.iter().map(preconditions_of).collect();
-        for scans in tel.rule_scans.iter() {
-            scans.inc();
+        let mut queue: BinaryHeap<Violation> = BinaryHeap::new();
+        {
+            let _seed_span = obs::span("engine.seed", "engine");
+            match delta {
+                Some(delta) => {
+                    obs::counter("engine.delta_seeds").inc();
+                    let matcher = Matcher::with_planner(g, self.config.match_config, planner)
+                        .with_budget(&self.budget);
+                    for ri in 0..rules.len() {
+                        self.push_touching(
+                            g,
+                            &matcher,
+                            rules,
+                            ri,
+                            delta,
+                            &mut report.per_rule[ri],
+                            &mut queue,
+                        );
+                    }
+                }
+                None => {
+                    for scans in tel.rule_scans.iter() {
+                        scans.inc();
+                    }
+                    queue = self.full_scan(g, rules, planner).into();
+                    for v in queue.iter() {
+                        report.per_rule[v.rule].matches_found += 1;
+                    }
+                }
+            }
         }
-        let mut queue: BinaryHeap<Violation> = {
-            let _seed_span = obs::span("engine.round", "engine");
-            self.full_scan(g, rules, planner).into()
-        };
         if self.budget.is_tripped() {
-            // Mid-seed-scan trip: the queue is partial — stop before
-            // applying anything, leaving the graph untouched.
+            // Mid-seed trip: the queue is partial — stop before applying
+            // anything, leaving the graph untouched.
             report.outcome = self.budget.tripped().map(Into::into).unwrap_or_default();
             return;
-        }
-        for v in queue.iter() {
-            report.per_rule[v.rule].matches_found += 1;
         }
         let mut last_ops_start: usize;
         while let Some(mut v) = queue.pop() {
@@ -933,23 +1010,47 @@ impl RepairEngine {
             // matches anchored in the delta. The planner's cache serves
             // the per-anchor plans — compiled once per (pattern, anchor),
             // not once per repair.
-            let matcher =
-                Matcher::with_planner(g, self.config.match_config, planner).with_budget(&self.budget);
-            for (ri, rule) in rules.iter().enumerate() {
-                if !ops_can_enable(new_ops, &preconditions[ri]) {
-                    continue;
-                }
-                for m in matcher.find_touching(&rule.pattern, &touched) {
-                    let cost = estimate_cost(g, rule, &m, &self.config.costs);
-                    report.per_rule[ri].matches_found += 1;
-                    queue.push(Violation {
-                        rule: ri,
-                        m,
-                        cost,
-                        priority: rule.priority,
-                    });
+            let matcher = Matcher::with_planner(g, self.config.match_config, planner)
+                .with_budget(&self.budget);
+            for (ri, pre) in preconditions.iter().enumerate() {
+                if ops_can_enable(new_ops, pre) {
+                    self.push_touching(
+                        g,
+                        &matcher,
+                        rules,
+                        ri,
+                        &touched,
+                        &mut report.per_rule[ri],
+                        &mut queue,
+                    );
                 }
             }
+        }
+    }
+
+    /// Queue every match of `rules[ri]` whose image meets `touched`,
+    /// with its cost estimate.
+    #[allow(clippy::too_many_arguments)]
+    fn push_touching(
+        &self,
+        g: &Graph,
+        matcher: &Matcher<'_>,
+        rules: &[Grr],
+        ri: usize,
+        touched: &TouchSet,
+        stats: &mut RuleStats,
+        queue: &mut BinaryHeap<Violation>,
+    ) {
+        let rule = &rules[ri];
+        for m in matcher.find_touching(&rule.pattern, touched) {
+            let cost = estimate_cost(g, rule, &m, &self.config.costs);
+            stats.matches_found += 1;
+            queue.push(Violation {
+                rule: ri,
+                m,
+                cost,
+                priority: rule.priority,
+            });
         }
     }
 
@@ -1394,7 +1495,14 @@ mod tests {
                 stratify,
                 ..EngineConfig::default()
             })
-            .repair_with_sink(&mut g2, &rules, rec.clone());
+            .repair_with(
+                &mut g2,
+                &rules,
+                RepairOptions {
+                    sink: Some(&mut rec.clone()),
+                    ..RepairOptions::default()
+                },
+            );
             assert_eq!(
                 report.outcome,
                 RepairOutcome::Completed,
@@ -1489,9 +1597,15 @@ mod tests {
         for config in [EngineConfig::default(), EngineConfig::naive()] {
             let mut g = dirty_graph();
             let mut seen: Vec<AppliedOp> = Vec::new();
-            let report = RepairEngine::new(config).repair_with_sink(&mut g, &rules(), |op: &AppliedOp| {
-                seen.push(op.clone())
-            });
+            let mut sink = |op: &AppliedOp| seen.push(op.clone());
+            let report = RepairEngine::new(config).repair_with(
+                &mut g,
+                &rules(),
+                RepairOptions {
+                    sink: Some(&mut sink),
+                    ..RepairOptions::default()
+                },
+            );
             assert!(report.converged);
             assert_eq!(seen, report.ops, "sink must mirror the op log exactly");
             assert!(!seen.is_empty());
@@ -1715,12 +1829,16 @@ mod tests {
             ..EngineConfig::default()
         });
         let planner = Planner::new();
-        let r1 = engine.repair_with_planner(&mut g, &rules, &planner);
+        let warm = || RepairOptions {
+            planner: Some(&planner),
+            ..RepairOptions::default()
+        };
+        let r1 = engine.repair_with(&mut g, &rules, warm());
         assert!(r1.converged);
         assert_eq!(r1.repairs_applied, 30);
         assert!(r1.pattern_compiles > 0);
 
-        let r2 = engine.repair_with_planner(&mut g, &rules, &planner);
+        let r2 = engine.repair_with(&mut g, &rules, warm());
         assert!(r2.converged);
         assert_eq!(r2.repairs_applied, 0, "already at fixpoint");
         assert_eq!(

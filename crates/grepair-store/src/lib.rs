@@ -8,9 +8,12 @@
 //! single process; this crate is the layer that makes applied repairs
 //! survive it. The central type is [`DurableGraph`]: a
 //! [`grepair_graph::Graph`] wrapper that journals every mutation —
-//! including every repair the engine applies, via
-//! [`grepair_core::RepairEngine::repair_with_sink`] — before
-//! acknowledging it.
+//! including every repair the engine applies, via the sink of
+//! [`grepair_core::RepairEngine::repair_with`] — before acknowledging
+//! it. After a repair that ended verified clean, it also tracks the
+//! nodes its mutators touch, so the next repair under the same rules
+//! seeds from them instead of scanning the whole graph (see
+//! [`DurableGraph::repair`]).
 //!
 //! ## Guarantees
 //!

@@ -34,7 +34,10 @@ use crate::vfs::{with_retry, StdFs, Vfs};
 #[cfg(feature = "parallel")]
 use crate::wal::SegmentContents;
 use crate::wal::{list_segments_in, read_segment_in, SegmentWriter, SEGMENT_HEADER_LEN};
-use grepair_core::{AppliedOp, Grr, Planner, RepairEngine, RepairReport, RepairSink};
+use grepair_core::{
+    set_fingerprint, AppliedOp, Grr, Planner, RepairEngine, RepairOptions, RepairOutcome,
+    RepairReport, RepairSink, TouchSet,
+};
 use grepair_graph::{EdgeId, Graph, MergeOutcome, NodeId, Value};
 use grepair_obs as obs;
 use std::path::{Path, PathBuf};
@@ -224,6 +227,14 @@ pub struct DurableGraph<V: Vfs = StdFs> {
     /// store, and statistics come free off the graph's write path (the
     /// store keeps its graph in [`Graph::maintain_stats`] mode).
     planner: Planner,
+    /// Rule-set fingerprint ([`set_fingerprint`]) of the last repair,
+    /// kept only if that repair ended completed, converged and with no
+    /// violations left, and committed; `None` = not known clean. Never
+    /// persisted: every create and open starts not-clean.
+    clean_rules: Option<u64>,
+    /// Nodes the mutators touched since that repair (tracked only while
+    /// `clean_rules` is set) — the delta the next repair seeds from.
+    touched: TouchSet,
     last_seq: u64,
     snapshot_seq: u64,
     bytes_since_snapshot: u64,
@@ -317,6 +328,8 @@ impl<V: Vfs> DurableGraph<V> {
             writer,
             telemetry: StoreTelemetry::default(),
             planner: Planner::new(),
+            clean_rules: None,
+            touched: TouchSet::default(),
             last_seq: 0,
             snapshot_seq: 0,
             bytes_since_snapshot: 0,
@@ -372,6 +385,8 @@ impl<V: Vfs> DurableGraph<V> {
                     writer,
                     telemetry: StoreTelemetry::default(),
                     planner: Planner::new(),
+                    clean_rules: None,
+                    touched: TouchSet::default(),
                     last_seq,
                     snapshot_seq: snap_seq,
                     bytes_since_snapshot,
@@ -695,15 +710,33 @@ impl<V: Vfs> DurableGraph<V> {
         Ok(())
     }
 
-    /// Journal an engine-applied repair operation. The operation must
-    /// already have been applied to [`DurableGraph::graph`] (that is
-    /// what [`RepairEngine::repair_with_sink`]'s sink guarantees).
-    pub fn journal_applied(&mut self, op: &AppliedOp) -> Result<()> {
-        self.ensure_writable()?;
-        self.append(&Mutation::from_applied(op))
+    // ---- mutators ----------------------------------------------------------
+    //
+    // Each mutator records the nodes it touched, by the rule the engine's
+    // own repairs use (`grepair_core::Applied::touched`), so that the
+    // next repair can seed from them. Touching happens right after the
+    // in-memory change, before journaling.
+
+    /// Record `nodes` as edited since the last verified-clean repair.
+    fn touch(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
+        if self.clean_rules.is_some() {
+            self.touched.extend(nodes);
+        }
     }
 
-    // ---- mutators ----------------------------------------------------------
+    /// The other endpoints of `node`'s edges, while a delta is tracked
+    /// (empty otherwise: nobody reads them). A dead node left in the
+    /// delta is harmless: matching skips it.
+    fn neighbours(&self, node: NodeId) -> Vec<NodeId> {
+        if self.clean_rules.is_none() {
+            return Vec::new();
+        }
+        let g = &self.graph;
+        g.incident_edges(node)
+            .filter_map(|e| g.edge(e).ok())
+            .map(|er| if er.src == node { er.dst } else { er.src })
+            .collect()
+    }
 
     /// Insert a node; journals and returns the allocated id.
     pub fn add_node(&mut self, label: &str) -> Result<NodeId> {
@@ -719,6 +752,7 @@ impl<V: Vfs> DurableGraph<V> {
         self.ensure_writable()?;
         let l = self.graph.label(label);
         let node = self.graph.add_node(l);
+        self.touch([node]);
         for (k, v) in attrs {
             let kk = self.graph.attr_key(k);
             self.graph.set_attr(node, kk, v.clone())?;
@@ -734,7 +768,9 @@ impl<V: Vfs> DurableGraph<V> {
     /// Delete a node and its incident edges.
     pub fn remove_node(&mut self, node: NodeId) -> Result<Vec<EdgeId>> {
         self.ensure_writable()?;
+        let neighbours = self.neighbours(node);
         let removed = self.graph.remove_node(node)?;
+        self.touch(neighbours);
         self.append(&Mutation::RemoveNode { node })?;
         Ok(removed)
     }
@@ -744,6 +780,7 @@ impl<V: Vfs> DurableGraph<V> {
         self.ensure_writable()?;
         let l = self.graph.label(label);
         let edge = self.graph.add_edge(src, dst, l)?;
+        self.touch([src, dst]);
         self.append(&Mutation::AddEdge {
             edge,
             src,
@@ -756,7 +793,9 @@ impl<V: Vfs> DurableGraph<V> {
     /// Delete an edge.
     pub fn remove_edge(&mut self, edge: EdgeId) -> Result<()> {
         self.ensure_writable()?;
+        let ends = self.graph.edge(edge).map(|er| [er.src, er.dst]);
         self.graph.remove_edge(edge)?;
+        self.touch(ends.into_iter().flatten());
         self.append(&Mutation::RemoveEdge { edge })?;
         Ok(())
     }
@@ -766,6 +805,7 @@ impl<V: Vfs> DurableGraph<V> {
         self.ensure_writable()?;
         let l = self.graph.label(label);
         let old = self.graph.set_node_label(node, l)?;
+        self.touch([node]);
         let old = self.graph.label_name(old).to_owned();
         self.append(&Mutation::SetNodeLabel {
             node,
@@ -779,6 +819,8 @@ impl<V: Vfs> DurableGraph<V> {
         self.ensure_writable()?;
         let l = self.graph.label(label);
         let old = self.graph.set_edge_label(edge, l)?;
+        let ends = self.graph.edge(edge).map(|er| [er.src, er.dst]);
+        self.touch(ends.into_iter().flatten());
         let old = self.graph.label_name(old).to_owned();
         self.append(&Mutation::SetEdgeLabel {
             edge,
@@ -792,6 +834,7 @@ impl<V: Vfs> DurableGraph<V> {
         self.ensure_writable()?;
         let k = self.graph.attr_key(key);
         let old = self.graph.set_attr(node, k, value.clone())?;
+        self.touch([node]);
         self.append(&Mutation::SetAttr {
             node,
             key: key.to_owned(),
@@ -805,6 +848,7 @@ impl<V: Vfs> DurableGraph<V> {
         self.ensure_writable()?;
         let k = self.graph.attr_key(key);
         let old = self.graph.remove_attr(node, k)?;
+        self.touch([node]);
         self.append(&Mutation::RemoveAttr {
             node,
             key: key.to_owned(),
@@ -820,7 +864,11 @@ impl<V: Vfs> DurableGraph<V> {
         dedup_parallel: bool,
     ) -> Result<MergeOutcome> {
         self.ensure_writable()?;
+        // Every rewired or dropped edge ran between `merged` and one of
+        // its neighbours; afterwards its surviving end is `keep`.
+        let neighbours = self.neighbours(merged);
         let outcome = self.graph.merge_nodes(keep, merged, dedup_parallel)?;
+        self.touch(neighbours.into_iter().chain([keep]));
         self.append(&Mutation::MergeNodes {
             keep,
             merged,
@@ -849,6 +897,19 @@ impl<V: Vfs> DurableGraph<V> {
     /// graph in [`Graph::maintain_stats`] mode). The second and later
     /// calls report `plan_cache_hits` with zero `pattern_compiles`.
     ///
+    /// Discovery is delta-seeded after a verified fixpoint: when the
+    /// previous repair of this instance ran the same rule set (equal
+    /// [`set_fingerprint`]), ended [`RepairOutcome::Completed`],
+    /// converged with no violations left and committed, the store hands
+    /// the engine the nodes its mutators touched since
+    /// ([`RepairOptions::delta`]), and the incremental engine seeds its
+    /// queue from the matches touching them instead of scanning the
+    /// whole graph — the same queue, so the same repairs. The closing
+    /// fixpoint verification stays a full scan. Any other ending (a
+    /// budget trip, a round limit, a residual, a journal failure) and
+    /// every create or open start not-clean, so the next repair scans
+    /// fully; naive and stratified engines always do.
+    ///
     /// If an append fails mid-run the engine may still apply further
     /// repairs in memory before the run winds down; the store is then
     /// [poisoned](StoreError::Poisoned) — it refuses all further
@@ -856,7 +917,12 @@ impl<V: Vfs> DurableGraph<V> {
     /// the journal. Reopen the directory to recover the last durable
     /// state.
     pub fn repair(&mut self, engine: &RepairEngine, rules: &[Grr]) -> Result<RepairReport> {
+        // Whatever happens below, the store is not-clean until this run
+        // proves otherwise.
+        let was_clean = self.clean_rules.take();
+        let delta = std::mem::take(&mut self.touched);
         self.ensure_writable()?;
+        let fingerprint = set_fingerprint(rules);
         let DurableGraph {
             vfs,
             graph,
@@ -870,7 +936,7 @@ impl<V: Vfs> DurableGraph<V> {
             ..
         } = self;
         let mut io_err: Option<StoreError> = None;
-        let sink = WalRoundSink {
+        let mut sink = WalRoundSink {
             vfs,
             writer,
             dir,
@@ -881,7 +947,16 @@ impl<V: Vfs> DurableGraph<V> {
             pending: Vec::new(),
             io_err: &mut io_err,
         };
-        let report = engine.repair_with_planner_and_sink(graph, rules, planner, sink);
+        let report = engine.repair_with(
+            graph,
+            rules,
+            RepairOptions {
+                planner: Some(planner),
+                sink: Some(&mut sink),
+                delta: (was_clean == Some(fingerprint)).then_some(&delta),
+            },
+        );
+        drop(sink);
         if let Some(e) = io_err {
             self.poison = Some(Poison::Append);
             record_fault(format!("repair journaling failed; store poisoned: {e}"));
@@ -890,6 +965,12 @@ impl<V: Vfs> DurableGraph<V> {
         self.commit()?;
         self.telemetry
             .set_gauges(self.last_seq, self.snapshot_seq, self.writer.len());
+        if report.outcome == RepairOutcome::Completed
+            && report.converged
+            && report.violations_remaining == 0
+        {
+            self.clean_rules = Some(fingerprint);
+        }
         Ok(report)
     }
 

@@ -19,10 +19,9 @@
 //! on the active segment. Recovery truncates the torn tail and the graph
 //! comes back exactly as last committed.
 
-use grepair_core::{RepairEngine, RuleSet, Watcher};
+use grepair_core::{RepairEngine, RuleSet, TouchSet, Watcher};
 use grepair_gen::gold_kg_rules;
 use grepair_graph::Value;
-use grepair_match::TouchSet;
 use grepair_store::{DurableGraph, StoreConfig};
 
 fn main() {

@@ -14,7 +14,8 @@
 //! thread counts, so both runs must stop on the identical prefix.
 
 use grepair_core::{
-    AppliedOp, EngineConfig, EngineMode, Grr, RepairEngine, RepairOutcome, RepairSink,
+    AppliedOp, EngineConfig, EngineMode, Grr, RepairEngine, RepairOptions, RepairOutcome,
+    RepairSink,
 };
 use grepair_gen::{
     generate_kg, generate_social, gold_kg_rules, inject_kg_noise, social_rules, KgConfig,
@@ -182,7 +183,10 @@ proptest! {
         let mut g_ref = g0.clone();
         let ref_report = RepairEngine::new(config.clone())
             .with_budget(&reference)
-            .repair_with_sink(&mut g_ref, &rules, rec.clone());
+            .repair_with(&mut g_ref, &rules, RepairOptions {
+                sink: Some(&mut rec.clone()),
+                ..RepairOptions::default()
+            });
         prop_assert!(
             !ref_report.outcome.is_budget_trip(),
             "unlimited budget must not trip: {:?}", ref_report.outcome
@@ -197,7 +201,7 @@ proptest! {
             let mut g = g0.clone();
             let report = RepairEngine::new(config.clone())
                 .with_budget(&budget)
-                .repair_with_sink(&mut g, &rules, |_: &AppliedOp| {});
+                .repair(&mut g, &rules);
             prop_assert!(
                 matches!(report.outcome, RepairOutcome::Cancelled | RepairOutcome::Completed
                          | RepairOutcome::RoundLimit),
@@ -221,7 +225,7 @@ proptest! {
         let (g0, rules, config) = build_case(&case);
         let run = |parallel: bool| {
             let budget = Budget::unlimited();
-            let sink = CancelAfterRounds {
+            let mut sink = CancelAfterRounds {
                 budget: budget.clone(),
                 remaining: after,
             };
@@ -231,7 +235,10 @@ proptest! {
                 ..config.clone()
             })
             .with_budget(&budget)
-            .repair_with_sink(&mut g, &rules, sink);
+            .repair_with(&mut g, &rules, RepairOptions {
+                sink: Some(&mut sink),
+                ..RepairOptions::default()
+            });
             (g.to_doc(), report.outcome, report.ops.len())
         };
         let (doc_s, outcome_s, ops_s) = run(false);

@@ -107,6 +107,93 @@ fn every_layer_contributes_spans_and_histograms() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Queue seeding and the closing fixpoint count have their own `engine`
+/// spans. A store repair after a verified-clean one seeds from the edit
+/// delta: `engine.delta_seeds` ticks once, no rule counts a full scan,
+/// and no `match.find_all` runs inside `engine.seed` — while the
+/// `engine.verify` count still runs. The first repair of a fresh store
+/// seeds by full scan inside `engine.seed` and leaves the counter alone.
+#[test]
+fn seed_and_verify_spans_tell_delta_seeds_from_full_scans() {
+    let _lock = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let dir = tmpdir("seed");
+    let (clean, _) = generate_kg(&KgConfig::with_persons(100));
+    let rules = gold_kg_rules();
+    let engine = RepairEngine::new(EngineConfig::default());
+    let mut store = DurableGraph::create_with(&dir, StoreConfig::default(), clean).unwrap();
+    let delta_seeds = grepair_obs::counter("engine.delta_seeds");
+
+    let within = |inner: &TraceEvent, outer: &TraceEvent| {
+        inner.tid == outer.tid
+            && inner.ts_ns >= outer.ts_ns
+            && inner.ts_ns + inner.dur_ns <= outer.ts_ns + outer.dur_ns
+    };
+    let span = |events: &[TraceEvent], name: &str| -> TraceEvent {
+        let found: Vec<&TraceEvent> = events
+            .iter()
+            .filter(|e| e.ph == 'X' && e.name == name)
+            .collect();
+        assert_eq!(found.len(), 1, "one {name} span per repair");
+        assert_eq!(
+            found[0].cat, "engine",
+            "{name} must be charged to the engine"
+        );
+        found[0].clone()
+    };
+
+    let before = delta_seeds.get();
+    let (full, events) = with_tracing(|| store.repair(&engine, &rules.rules).unwrap());
+    assert!(full.converged);
+    assert!(
+        full.per_rule.iter().all(|r| r.scans == 1),
+        "first repair scans fully"
+    );
+    assert_eq!(
+        delta_seeds.get(),
+        before,
+        "a full-scan seed is not a delta seed"
+    );
+    let seed = span(&events, "engine.seed");
+    span(&events, "engine.verify");
+    assert!(
+        events
+            .iter()
+            .any(|e| e.name == "match.find_all" && within(e, &seed)),
+        "a full-scan seed runs find_all inside engine.seed"
+    );
+
+    // Break one citizenship: a violation the delta must find.
+    let g = store.graph();
+    let edge = g
+        .edges()
+        .find(|&e| g.label_name(g.edge(e).unwrap().label) == "citizenOf")
+        .unwrap();
+    store.remove_edge(edge).unwrap();
+    let before = delta_seeds.get();
+    let (delta, events) = with_tracing(|| store.repair(&engine, &rules.rules).unwrap());
+    assert_eq!(delta.repairs_applied, 1);
+    assert!(
+        delta.converged,
+        "the verification count ran and found the fixpoint"
+    );
+    assert!(
+        delta.per_rule.iter().all(|r| r.scans == 0),
+        "no full scan in a delta seed"
+    );
+    assert_eq!(delta_seeds.get(), before + 1);
+    let seed = span(&events, "engine.seed");
+    let verify = span(&events, "engine.verify");
+    assert!(!within(&verify, &seed) && !within(&seed, &verify));
+    assert!(
+        !events.iter().any(|e| e.name == "match.find_all"),
+        "a delta-seeded repair runs no find_all"
+    );
+    grepair_obs::spans_well_formed(&events).expect("delta-seeded trace must nest");
+
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Guardrail trips are telemetry-covered too: a repair cut short by an
 /// expired deadline bumps `limit.deadline_trips` exactly once (the trip
 /// is sticky and first-wins), emits the `limit.trip` warn event, and
